@@ -211,7 +211,13 @@ class ChenJiangZhengProtocol(Protocol):
     def lockstep_program(self) -> Optional[LockstepProgram]:
         # Only the exact bundled classes get a columnar program: a subclass
         # overriding any hook would silently diverge from the columnar replay.
-        if type(self) not in (ChenJiangZhengProtocol, GlobalClockVariant):
+        # The two-channel protocol overrides none; it differs only in the
+        # parameters its constructor builds.
+        from ..protocols.two_channel_no_jamming import TwoChannelNoJamming
+
+        if type(self) not in (
+            ChenJiangZhengProtocol, GlobalClockVariant, TwoChannelNoJamming
+        ):
             return None
         return CJZLockstepProgram(
             self._params, global_clock=type(self) is GlobalClockVariant

@@ -39,14 +39,18 @@ Protocols may additionally expose their *marginal broadcast probability*:
 from __future__ import annotations
 
 import abc
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ..errors import ConfigurationError
+from ..rng import make_generator
 from ..types import Feedback
 
 __all__ = [
+    "AgeTableLockstepProgram",
     "CompiledProgramTables",
     "LockstepProgram",
     "OP_CJZ",
@@ -54,6 +58,7 @@ __all__ = [
     "OP_WINDOWED",
     "Protocol",
     "ProtocolFactory",
+    "age_probability_table",
     "grow_flat_column",
     "make_factory",
 ]
@@ -312,10 +317,15 @@ class Protocol(abc.ABC):
         Feedback-driven protocols that can express their per-node state as
         numpy columns (phases, anchors, windows as int/float arrays) return
         a fresh :class:`LockstepProgram` bound to this instance's
-        parameters; the default — and the safe answer for any subclass that
-        changes behaviour — is ``None``, which keeps the protocol on the
-        per-trial reference path.
+        parameters.  Every :attr:`vector_eligible` protocol gets the generic
+        :class:`AgeTableLockstepProgram` — its contract (one uniform per
+        active slot against a pure function of age, feedback ignored) is
+        exactly what that program replays.  For anything else the default —
+        and the safe answer for any subclass that changes behaviour — is
+        ``None``, which keeps the protocol on the per-trial reference path.
         """
+        if self.vector_eligible:
+            return AgeTableLockstepProgram(copy.copy(self))
         return None
 
     def age_probability_vector(self, max_age: int) -> Optional[np.ndarray]:
@@ -379,6 +389,83 @@ class Protocol(abc.ABC):
 
 
 ProtocolFactory = Callable[[], Protocol]
+
+
+def age_probability_table(protocol: Protocol, horizon: int) -> Optional[np.ndarray]:
+    """Per-age broadcast probabilities of a vector-eligible protocol instance.
+
+    Probes ``protocol`` (arrival slot 1, throwaway generator, consuming
+    nothing from any run's seed trees) and returns the float vector with
+    index 0 forced to 0.0 — the invariant the array kernels rely on so that
+    clipped pre-arrival ages can never beat a uniform.  Returns ``None``
+    when the protocol cannot provide a closed-form age profile.
+    """
+    protocol.on_arrival(1, make_generator(0))
+    probabilities = protocol.age_probability_vector(horizon)
+    if probabilities is None:
+        return None
+    probabilities = np.asarray(probabilities, dtype=float).copy()
+    probabilities[0] = 0.0
+    return probabilities
+
+
+class AgeTableLockstepProgram(LockstepProgram):
+    """Lockstep replay of any :attr:`~Protocol.vector_eligible` protocol.
+
+    The contract makes the whole per-node state one number — the arrival
+    slot — so the program holds a single int64 arrival column and one age
+    table ``p`` built at :meth:`bind`.  Each active row draws one
+    ``random()`` double per slot and broadcasts when it falls below
+    ``p[slot - arrival + 1]``, exactly the reference's ``wants_to_broadcast``
+    call; feedback is ignored.  State is O(trials × capacity) plus the
+    O(horizon) table — no whole-horizon matrix — which is what lets it run
+    studies too large for the batched and vectorized kernels, and studies
+    against adaptive adversaries they cannot serve at all.
+    """
+
+    def __init__(self, protocol: Protocol) -> None:
+        self._protocol = protocol
+        self._pool = None
+        self._table = np.zeros(1)
+        self._arrival = np.zeros(0, dtype=np.int64)
+
+    def bind(self, trials: int, capacity: int, pool, horizon: int) -> None:
+        table = age_probability_table(self._protocol, horizon)
+        if table is None:
+            # No closed form: the base per-age loop over
+            # broadcast_probability, which the flag obliges the protocol to
+            # implement, yields the same floats the reference compares with.
+            table = Protocol.age_probability_vector(self._protocol, horizon)
+            if table is None:
+                raise ConfigurationError(
+                    f"protocol {self._protocol.name!r} is vector-eligible but "
+                    "reports no broadcast probability"
+                )
+            table[0] = 0.0
+        self._pool = pool
+        self._table = table
+        self._arrival = np.zeros(trials * capacity, dtype=np.int64)
+
+    def grow(self, trials: int, old_capacity: int, new_capacity: int) -> None:
+        self._arrival = grow_flat_column(
+            self._arrival, trials, old_capacity, new_capacity
+        )
+
+    def arrive(self, rows: np.ndarray, slot: int) -> None:
+        self._arrival[rows] = slot
+
+    def step(self, rows: np.ndarray, slot: int) -> np.ndarray:
+        return self._pool.doubles(rows) < self._table[slot - self._arrival[rows] + 1]
+
+    def feedback(
+        self,
+        slot: int,
+        rows: np.ndarray,
+        sends: np.ndarray,
+        trial_success: np.ndarray,
+        own_success: np.ndarray,
+    ) -> None:
+        return None
 
 
 def make_factory(cls: type, /, *args, **kwargs) -> ProtocolFactory:

@@ -25,39 +25,17 @@ import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
-
 from ...adversary.base import Adversary
 from ...channel.multiple_access import MultipleAccessChannel
 from ...metrics.collectors import MetricsCollector
 from ...protocols.base import ProtocolFactory
-from ...rng import SeedTree, make_generator
+from ...rng import SeedTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from ..engine import SimulatorConfig
     from ..results import SimulationResult
 
-__all__ = ["KernelContext", "SlotKernel", "age_probability_profile"]
-
-
-def age_probability_profile(protocol_factory: ProtocolFactory, horizon: int):
-    """Per-age broadcast probabilities of a vector-eligible protocol.
-
-    Probes a fresh instance (arrival slot 1, throwaway generator, consuming
-    nothing from any run's seed trees) and returns the float vector with
-    index 0 forced to 0.0 — the invariant both array kernels rely on so that
-    clipped pre-arrival ages can never beat a uniform.  Returns ``None`` when
-    the protocol cannot provide a closed-form age profile, in which case the
-    caller must fall back to a per-slot execution path.
-    """
-    probe = protocol_factory()
-    probe.on_arrival(1, make_generator(0))
-    probabilities = probe.age_probability_vector(horizon)
-    if probabilities is None:
-        return None
-    probabilities = np.asarray(probabilities, dtype=float).copy()
-    probabilities[0] = 0.0
-    return probabilities
+__all__ = ["KernelContext", "SlotKernel"]
 
 
 @dataclass

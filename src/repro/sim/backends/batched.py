@@ -44,9 +44,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...adversary.base import Adversary
+from ...protocols.base import age_probability_table
 from ...rng import ReusableGenerator
 from ..results import SimulationResult
-from .base import age_probability_profile
 from .studysupport import (
     MAX_BLOCK_ELEMENTS as _MAX_BLOCK_ELEMENTS,
     SeedPlan as _SeedPlan,
@@ -141,7 +141,7 @@ class BatchedStudyKernel:
         horizon = config.horizon
         start_time = time.perf_counter()
 
-        probabilities = age_probability_profile(protocol_factory, horizon)
+        probabilities = age_probability_table(protocol_factory(), horizon)
         if probabilities is None:
             return None
 

@@ -251,23 +251,6 @@ class CompiledStudyKernel:
             is None
         )
 
-    def auto_preferred(
-        self,
-        adversary_factory,
-        config,
-        trials: int,
-        probe: Optional[StudyProbe] = None,
-    ) -> bool:
-        """``auto`` escalates exactly when the numpy lockstep tier would.
-
-        The compiled tier strictly dominates the numpy kernel when it runs
-        at all (and demotes to it otherwise), so the same population
-        pressure gate applies.
-        """
-        return self._numpy.auto_preferred(
-            adversary_factory, config, trials, probe
-        )
-
     # ------------------------------------------------------------------- run
 
     def run_study(

@@ -55,14 +55,23 @@ from ...adversary.jamming import ReactiveJamming
 from ...rng import TrialSeedBatch
 from ..artifacts import canonical_key, streams_verified
 from ..engine import SimulatorConfig
-from .lockstep import _BLOCK_TRIAL_SLOTS, _LockstepRun, build_lockstep_driver
-from .studysupport import SeedPlan
+from .lockstep import (
+    _BLOCK_TRIAL_SLOTS,
+    _LockstepRun,
+    array_kernels_serve,
+    build_lockstep_driver,
+)
+from .studysupport import SeedPlan, StudyProbe
 
 __all__ = ["fusion_budget", "fusion_key", "plan_fusion_groups", "run_fused_group"]
 
 #: Backends a fused run may substitute for (results are backend-invariant;
 #: explicit reference/per-trial pins are honoured by not fusing).
 _FUSIBLE_BACKENDS = ("auto", "lockstep", "lockstep-jit", "batched-study")
+
+#: Explicit pins of a lockstep tier, which fuse even where ``auto`` would
+#: hand the study to the array kernels.
+_LOCKSTEP_PINS = ("lockstep", "lockstep-jit")
 
 #: Backends under which the group may take the compiled (lockstep-jit) tier.
 _COMPILED_BACKENDS = ("auto", "lockstep-jit")
@@ -71,8 +80,8 @@ _COMPILED_BACKENDS = ("auto", "lockstep-jit")
 # ---------------------------------------------------------------- grouping
 
 
-def _driver_family(spec) -> str:
-    """Which columnar driver family the spec's adversary will build.
+def _driver_family(adversary) -> str:
+    """Which columnar driver family the adversary's factory will build.
 
     Classified from a throwaway instance (never given a generator, so no
     stream is consumed).  Mirrors the ladder in
@@ -80,7 +89,6 @@ def _driver_family(spec) -> str:
     re-checks the *actual* built driver types, so a misprediction can only
     cause a fallback, never a wrong merge.
     """
-    adversary = spec.adversary.factory(spec.horizon)()
     if adversary.precompilable:
         return "precompiled"
     if (
@@ -102,7 +110,10 @@ def fusion_key(spec) -> Optional[Tuple]:
     early-stop policy (one slot loop), and the adversary driver family
     (one merged driver).  Trace retention, metric pipelines, streaming
     memory policy, unseeded studies and explicit per-trial/reference
-    backend pins all opt out.
+    backend pins all opt out, and so do studies the ladder gives to the
+    batched-study or vectorized kernels
+    (:func:`~repro.sim.backends.lockstep.array_kernels_serve`) unless a
+    lockstep tier is pinned.
     """
     if spec.keep_trace or spec.streaming or spec.pipeline is not None:
         return None
@@ -111,9 +122,16 @@ def fusion_key(spec) -> Optional[Tuple]:
     if spec.backend not in _FUSIBLE_BACKENDS:
         return None
     try:
-        if spec.protocol.build()().lockstep_program() is None:
+        probe = StudyProbe(
+            spec.protocol.build(), spec.adversary.factory(spec.horizon)
+        )
+        if probe.program is None:
             return None
-        family = _driver_family(spec)
+        if spec.backend not in _LOCKSTEP_PINS and array_kernels_serve(
+            probe, spec.horizon
+        ):
+            return None
+        family = _driver_family(probe.adversary)
     except Exception:
         return None
     return (spec.protocol.kind, spec.horizon, spec.stop_when_drained, family)

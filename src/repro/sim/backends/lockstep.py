@@ -66,8 +66,15 @@ from .studysupport import (
     compile_adversary_schedules,
     emit_study_results,
 )
+from . import vectorized
 
-__all__ = ["LockstepStudyKernel", "build_lockstep_driver", "emit_lockstep_results"]
+__all__ = [
+    "LockstepStudyKernel",
+    "array_kernels_serve",
+    "auto_skip_reason",
+    "build_lockstep_driver",
+    "emit_lockstep_results",
+]
 
 AdversaryFactory = Callable[[], Adversary]
 
@@ -75,15 +82,58 @@ AdversaryFactory = Callable[[], Adversary]
 #: front (adaptive arrivals); grown by doubling as nodes are injected.
 _INITIAL_CAPACITY = 16
 
-#: ``auto``-selection gate: the kernel's per-slot cost is fixed while its
-#: work per slot scales with the live population, so lockstep only beats the
-#: per-trial reference loop when enough node-trials advance together.  The
-#: peak single-slot arrival count is a cheap upfront proxy for concurrent
-#: population; studies below the pressure floor (and with too few trials to
-#: amortize over) stay on the per-trial ladder under ``auto``.  An explicit
-#: ``backend="lockstep"`` request always runs.
-_AUTO_PRESSURE_FLOOR = 24
-_AUTO_TRIALS_FLOOR = 8
+#: The ``auto`` rule for the lockstep tiers (:func:`auto_skip_reason`).  The
+#: kernel's per-slot cost is fixed while its work per slot scales with the
+#: live population, so lockstep beats the per-trial reference loop once
+#: enough node-trials advance together: an estimated concurrent population
+#: of ``trials × max(peak single-slot arrivals, _AUTO_TRIAL_POPULATION)`` of
+#: at least ``_AUTO_POPULATION_FLOOR``.  Every trial counts at least
+#: ``_AUTO_TRIAL_POPULATION`` live nodes because spread arrivals accumulate a
+#: standing population even when no slot injects more than one.  The values
+#: come from the measured crossover recorded in CHANGES.md: at 5 trials
+#: lockstep beat reference on the paper suite's low-peak studies, at 2 trials
+#: it tied or lost, and at 3 trials the outcome was mixed — so five trials
+#: escalate on their own, while smaller studies still need the peak
+#: arrivals to carry the population.  An explicit ``backend="lockstep"``
+#: request always runs.
+_AUTO_POPULATION_FLOOR = 24
+_AUTO_TRIAL_POPULATION = 5
+
+
+def array_kernels_serve(probe: StudyProbe, horizon: int) -> bool:
+    """Whether the whole-horizon array kernels own this study under ``auto``.
+
+    A vector-eligible protocol against an oblivious (precompilable)
+    adversary runs on ``batched-study``, then per-trial ``vectorized`` —
+    both faster than lockstep there — unless one trial's vectorized
+    broadcast matrix would exceed its cap, which would replay the trial
+    through the reference loop; only then does lockstep's O(trials ×
+    capacity) state win.  Adversaries whose arrival shape is not probed are
+    assumed to fit.
+    """
+    if not (probe.protocol.vector_eligible and probe.adversary.precompilable):
+        return False
+    shape = probe.arrival_shape(horizon)
+    total = shape[1] if shape is not None else 0
+    return total * (horizon + 1) <= vectorized._MAX_MATRIX_BYTES
+
+
+def auto_skip_reason(config, trials: int, probe: StudyProbe) -> Optional[str]:
+    """Why ``auto`` keeps an eligible study off the lockstep tiers, or ``None``."""
+    if array_kernels_serve(probe, config.horizon):
+        return (
+            "vector-eligible protocol against an oblivious adversary: the "
+            "batched-study and vectorized kernels serve it faster"
+        )
+    shape = probe.arrival_shape(config.horizon)
+    peak = shape[0] if shape is not None else 0
+    if trials * max(peak, _AUTO_TRIAL_POPULATION) >= _AUTO_POPULATION_FLOOR:
+        return None
+    return (
+        "too little concurrent population for the lockstep tiers to amortize "
+        "their per-slot cost"
+    )
+
 
 #: Trial-slot budget of one processing block.  The kernel's per-slot study
 #: matrices (arrivals/jam/success/counts plus the int64 prefix planes at
@@ -151,32 +201,6 @@ class LockstepStudyKernel:
             )
             is None
         )
-
-    def auto_preferred(
-        self,
-        adversary_factory: AdversaryFactory,
-        config,
-        trials: int,
-        probe: Optional[StudyProbe] = None,
-    ) -> bool:
-        """Whether ``auto`` should escalate this study to the lockstep tier.
-
-        Large trial counts always amortize the kernel's fixed per-slot cost;
-        below that, the study must carry enough concurrent population
-        (trials × peak single-slot arrivals) to beat the per-trial reference
-        loop.  See :data:`_AUTO_PRESSURE_FLOOR`.
-        """
-        if trials >= _AUTO_TRIALS_FLOOR:
-            return True
-        if probe is None:
-            # The runner passes its dispatch-level probe; this fallback only
-            # serves direct callers, and the peak estimate itself is shared
-            # process-wide through the artifact cache for spec-built factories.
-            probe = StudyProbe(lambda: None, adversary_factory)
-        peak = probe.peak_arrivals(config.horizon)
-        if peak is None:
-            return False
-        return trials * peak >= _AUTO_PRESSURE_FLOOR
 
     # ------------------------------------------------------------------- run
 

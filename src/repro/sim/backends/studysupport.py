@@ -76,7 +76,7 @@ class StudyProbe:
         self._program_known = False
         self._program_taken = False
         self._adversary = None
-        self._peak: Dict[int, Optional[int]] = {}
+        self._shape: Dict[int, Optional[Tuple[int, int]]] = {}
 
     @property
     def protocol(self):
@@ -113,8 +113,9 @@ class StudyProbe:
             self._adversary = self._adversary_factory()
         return self._adversary
 
-    def peak_arrivals(self, horizon: int) -> Optional[int]:
-        """Peak single-slot arrival count of a throwaway adversary instance.
+    def arrival_shape(self, horizon: int) -> Optional[Tuple[int, int]]:
+        """``(peak single-slot arrivals, total arrivals)`` of a throwaway
+        adversary instance, or ``None`` when the shape is not probed.
 
         Probes with a fixed-seed generator — only the schedule's *shape*
         matters, and the probe never touches any run's seed streams.  Only
@@ -125,33 +126,33 @@ class StudyProbe:
         cannot change the population, and precompiling it would burn a
         horizon of throwaway randomness per study).
         """
-        if horizon in self._peak:
-            return self._peak[horizon]
+        if horizon in self._shape:
+            return self._shape[horizon]
         spec = getattr(self._adversary_factory, "spec", None)
         if spec is not None:
             # Spec-built factories carry their AdversarySpec; the probe is a
             # pure function of (spec, horizon), so share it process-wide.
             from ..artifacts import cached_artifact, canonical_key
 
-            key = ("peak-arrivals", canonical_key(spec.to_dict()), horizon)
-            peak = cached_artifact(key, lambda: self._probe_peak(horizon))
+            key = ("arrival-shape", canonical_key(spec.to_dict()), horizon)
+            shape = cached_artifact(key, lambda: self._probe_shape(horizon))
         else:
-            peak = self._probe_peak(horizon)
-        self._peak[horizon] = peak
-        return peak
+            shape = self._probe_shape(horizon)
+        self._shape[horizon] = shape
+        return shape
 
-    def _probe_peak(self, horizon: int) -> Optional[int]:
-        peak: Optional[int] = None
+    def _probe_shape(self, horizon: int) -> Optional[Tuple[int, int]]:
         probe = self._adversary_factory()
-        if type(probe) is ComposedAdversary and not probe.arrivals.adaptive:
-            try:
-                probe.setup(np.random.default_rng(0), horizon)
-                arrivals = probe.arrivals.precompile(horizon)
-            except Exception:
-                arrivals = None
-            if arrivals is not None:
-                peak = int(arrivals.max(initial=0))
-        return peak
+        if type(probe) is not ComposedAdversary or probe.arrivals.adaptive:
+            return None
+        try:
+            probe.setup(np.random.default_rng(0), horizon)
+            arrivals = probe.arrivals.precompile(horizon)
+        except Exception:
+            return None
+        if arrivals is None:
+            return None
+        return int(arrivals.max(initial=0)), int(arrivals.sum())
 
 
 def iter_blocks(nodes_per_trial: np.ndarray, horizon: int):

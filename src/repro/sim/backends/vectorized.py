@@ -43,10 +43,11 @@ import numpy as np
 from ...adversary.base import PrecompiledSchedule
 from ...channel.multiple_access import MultipleAccessChannel
 from ...errors import ConfigurationError
+from ...protocols.base import age_probability_table
 from ...types import AdversaryAction, NodeStats, SimulationSummary, SlotOutcome, SlotRecord
 from ..events import EventTrace
 from ..results import PrefixCounters, SimulationResult
-from .base import KernelContext, SlotKernel, age_probability_profile
+from .base import KernelContext, SlotKernel
 from .reference import run_slot_loop
 
 __all__ = ["VectorizedKernel"]
@@ -120,7 +121,7 @@ class VectorizedKernel(SlotKernel):
         if total_nodes * (horizon + 1) > _MAX_MATRIX_BYTES:
             return self._replay_fallback(context, schedule)
 
-        probabilities = age_probability_profile(context.protocol_factory, horizon)
+        probabilities = age_probability_table(context.protocol_factory(), horizon)
         if probabilities is None:
             return self._replay_fallback(context, schedule)
 

@@ -32,21 +32,24 @@ Backends
   pass; requires a vector-eligible protocol and a precompilable adversary.
 * ``"lockstep-jit"`` — the lockstep semantics lowered into one fused slot
   loop (:class:`~repro.sim.backends.CompiledStudyKernel`), numba-compiled
-  when numba is installed; demotes automatically (and silently) to the
-  numpy lockstep kernel when it cannot run, with identical results.
+  when numba is installed; when the interpreter is off or the program
+  exports no compiled tables the plan runs the numpy lockstep kernel
+  instead (a recorded demotion), with identical results.
 * ``"lockstep"`` — the study is executed by
   :class:`~repro.sim.backends.LockstepStudyKernel`, which advances all
-  trials one slot at a time with array operations; serves feedback-driven
-  protocols with a columnar :class:`~repro.protocols.base.LockstepProgram`
-  (the paper's CJZ algorithm, windowed/sawtooth backoff) against any
-  adversary, adaptive ones included.
-* ``"auto"`` (default) — batched-study when the study is eligible, else the
-  compiled lockstep tier (falling through to numpy lockstep internally)
-  when the protocol has a columnar program *and* the study carries enough
-  concurrent population to amortize the kernel's fixed per-slot cost (≥ 8
-  trials, or trials × peak single-slot arrivals ≥ 24 — see
-  :meth:`LockstepStudyKernel.auto_preferred`), else per trial the
-  vectorized kernel when eligible, else the reference kernel.
+  trials one slot at a time with array operations; serves every protocol
+  with a columnar :class:`~repro.protocols.base.LockstepProgram` (the
+  paper's CJZ algorithm and its two-channel variant, windowed/sawtooth
+  backoff, and every vector-eligible protocol through the age-table
+  program) against any adversary, adaptive ones included.
+* ``"auto"`` (default) — :meth:`TrialRunner.plan_ladder` decides, in one
+  place: batched-study when the study is eligible; the lockstep tiers when
+  :func:`~repro.sim.backends.lockstep.auto_skip_reason` says they pay
+  (vector-eligible protocols against oblivious adversaries only when a
+  vectorized matrix would exceed its cap; otherwise when trials × max(peak
+  single-slot arrivals, 5) ≥ 24); else per trial the vectorized kernel
+  when eligible, else the reference kernel.  A study kernel that bails at
+  run time falls to the next eligible rung of the same plan.
 * ``"vectorized"`` / ``"reference"`` — per-trial kernels, forwarded to every
   :class:`~repro.sim.engine.Simulator`.
 
@@ -96,13 +99,16 @@ from .backends import (
     LockstepStudyKernel,
     available_study_backends,
 )
+from .backends.compiled import interpreter_mode
+from .backends.lockstep import auto_skip_reason
 from .backends.studysupport import StudyProbe
 from .engine import Simulator, SimulatorConfig
-from .health import RunHealth, collecting, note, note_demotion
+from .health import RunHealth, collecting, note_demotion
 from .results import SimulationResult
 from .shm import discard_payload, export_study, import_study
 
 __all__ = [
+    "LadderRung",
     "SupervisorPolicy",
     "TrialRunner",
     "TrialStudy",
@@ -414,6 +420,37 @@ def _shard_entry(
         conn.close()
 
 
+@dataclass(frozen=True)
+class LadderRung:
+    """One rung of a study's backend plan (see :meth:`TrialRunner.plan_ladder`).
+
+    ``kernel`` is the study kernel to execute for ``selected`` and
+    ``eligible`` study rungs, ``None`` otherwise (and for the final
+    per-trial rung).
+    """
+
+    backend: str
+    status: str
+    reason: str
+    kernel: Any = None
+
+    def as_row(self) -> Dict[str, str]:
+        return {"backend": self.backend, "status": self.status, "reason": self.reason}
+
+
+def _compiled_demotion(probe: StudyProbe, horizon: int) -> Optional[str]:
+    """Why the compiled tier would demote to numpy lockstep, or ``None``."""
+    if interpreter_mode() == "off":
+        return (
+            "compiled interpreter is off (numba not importable or "
+            "REPRO_DISABLE_NUMBA set)"
+        )
+    program = probe.program
+    if program is not None and program.compiled_tables(horizon) is None:
+        return "protocol program cannot lower to compiled tables"
+    return None
+
+
 class TrialRunner:
     """Runs the same (protocol, adversary, config) combination across seeds.
 
@@ -575,10 +612,10 @@ class TrialRunner:
     ) -> List[SimulationResult]:
         """Run a contiguous shard of trials, study-batched when eligible.
 
-        ``auto`` walks the study ladder: batched-study first, then the
-        lockstep kernel, then the per-trial path.  A study kernel that bails
-        mid-eligibility (returns ``None``) never consumes trial seeds, so
-        escalating to the next rung stays seed-for-seed identical.
+        Executes :meth:`plan_ladder`: the selected rung first, then each
+        ``eligible`` rung below it as the fallback when a study kernel bails
+        at run time, then the per-trial path.  A bailing study kernel never
+        consumes trial seeds, so escalating stays seed-for-seed identical.
         """
         faults.active_plan().maybe_raise("kernel", trials=len(seeds))
         protocol_name = (
@@ -588,163 +625,145 @@ class TrialRunner:
         # the same memoized protocol/program/adversary instances instead of
         # re-invoking the factories per kernel.
         probe = StudyProbe(self._protocol_factory, self._adversary_factory)
-        for kernel, explicit in (
-            (BatchedStudyKernel(), STUDY_BACKEND),
-            (CompiledStudyKernel(), COMPILED_BACKEND),
-            (LockstepStudyKernel(), LOCKSTEP_BACKEND),
-        ):
-            if self._backend not in (AUTO_BACKEND, explicit):
-                continue
-            if (
-                self._backend == AUTO_BACKEND
-                and explicit in (COMPILED_BACKEND, LOCKSTEP_BACKEND)
-                and not kernel.auto_preferred(
-                    self._adversary_factory, self._config, len(seeds), probe
-                )
-            ):
-                # Too little concurrent population for the lockstep tiers to
-                # pay off; stay on the per-trial ladder.
-                continue
-            reason = kernel.unsupported_reason(
+        plan = self.plan_ladder(len(seeds), probe)
+        runnable = [rung for rung in plan if rung.kernel is not None]
+        if self._backend != AUTO_BACKEND:
+            # An explicit request plans only its own rung (every other study
+            # rung is skipped), so any ineligible rung is the requested one.
+            for rung in plan:
+                if rung.status == "ineligible":
+                    raise ConfigurationError(
+                        f"backend {self._backend!r} unavailable: {rung.reason}"
+                    )
+                if rung.backend == self._backend and rung.status == "skipped":
+                    note_demotion(rung.backend, LOCKSTEP_BACKEND, rung.reason)
+        for index, rung in enumerate(runnable):
+            results = rung.kernel.run_study(
                 self._protocol_factory,
                 self._adversary_factory,
                 self._config,
-                self._collectors,
-                probe,
+                seeds,
+                protocol_name=protocol_name,
+                probe=probe,
             )
-            if reason is None:
-                results = kernel.run_study(
-                    self._protocol_factory,
-                    self._adversary_factory,
-                    self._config,
-                    seeds,
-                    protocol_name=protocol_name,
-                    probe=probe,
-                )
-                if results is not None:
-                    return [
-                        self._absorb(result, pipeline) for result in results
-                    ]
-                # The study bailed without consuming any trial seeds
-                # (oversized block, missing probability vector, slow seed
-                # path, ...): escalate down the ladder.
-                note_demotion(
-                    explicit,
-                    "per-trial ladder",
-                    "study kernel bailed at run time (oversized block, "
-                    "slow seed path, or unreplicable streams)",
-                )
-            if self._backend == explicit:
-                if reason is None:
-                    # An explicitly requested study kernel that bailed
-                    # degrades to the per-trial path, like ``auto`` would.
-                    break
-                raise ConfigurationError(
-                    f"backend {explicit!r} unavailable: {reason}"
-                )
+            if results is not None:
+                return [self._absorb(result, pipeline) for result in results]
+            # The study bailed without consuming any trial seeds (oversized
+            # block, slow seed path, ...): escalate down the ladder.
+            following = (
+                runnable[index + 1].backend
+                if index + 1 < len(runnable)
+                else "per-trial ladder"
+            )
+            note_demotion(
+                rung.backend,
+                following,
+                "study kernel bailed at run time (oversized block, slow seed "
+                "path, or unreplicable streams)",
+            )
         trees = seeds.trees if isinstance(seeds, TrialSeedBatch) else seeds
         return [
             self._absorb(self.run_single(trial_seed), pipeline)
             for trial_seed in trees
         ]
 
+    def plan_ladder(
+        self, trials: int, probe: Optional[StudyProbe] = None
+    ) -> List[LadderRung]:
+        """The study backend ladder for ``trials`` trials, rung by rung.
+
+        The one place backend selection is decided: :meth:`_run_chunk`
+        executes the plan and :meth:`explain_backend` reports it.  Each rung
+        carries a ``status`` — ``selected`` (runs first), ``eligible`` (runs
+        only if every rung above it bails at run time), ``skipped`` or
+        ``ineligible`` — and a human ``reason``; the last rung is the
+        per-trial path.  Building the plan consumes no seeds.
+
+        Under ``auto`` the order is batched-study, lockstep-jit, lockstep,
+        per-trial; the lockstep tiers are taken only where
+        :func:`~repro.sim.backends.lockstep.auto_skip_reason` says they pay.
+        The compiled tier is left out whenever it would demote to the numpy
+        lockstep kernel anyway (interpreter off, or a program without
+        compiled tables); an explicit ``lockstep-jit`` request then plans
+        the numpy lockstep kernel, as a recorded demotion.
+        """
+        if probe is None:
+            probe = StudyProbe(self._protocol_factory, self._adversary_factory)
+        backend = self._backend
+        compiled_demotion = None
+        if backend in (AUTO_BACKEND, COMPILED_BACKEND):
+            compiled_demotion = _compiled_demotion(probe, self._config.horizon)
+        requested = backend
+        if backend == COMPILED_BACKEND and compiled_demotion is not None:
+            requested = LOCKSTEP_BACKEND
+
+        rungs: List[LadderRung] = []
+
+        def runnable(name: str, kernel, first_reason: str) -> LadderRung:
+            if any(rung.kernel is not None for rung in rungs):
+                return LadderRung(
+                    name,
+                    "eligible",
+                    "fallback if the rungs above bail at run time",
+                    kernel,
+                )
+            return LadderRung(name, "selected", first_reason, kernel)
+
+        for kernel in (
+            BatchedStudyKernel(),
+            CompiledStudyKernel(),
+            LockstepStudyKernel(),
+        ):
+            name = kernel.name
+            status, reason = None, None
+            if requested not in (AUTO_BACKEND, name):
+                status = "skipped"
+                reason = f"backend={backend!r} requested"
+                if name == backend:
+                    reason = compiled_demotion
+            else:
+                reason = kernel.unsupported_reason(
+                    self._protocol_factory,
+                    self._adversary_factory,
+                    self._config,
+                    self._collectors,
+                    probe,
+                )
+                if reason is not None:
+                    status = "ineligible"
+                elif name == COMPILED_BACKEND and compiled_demotion is not None:
+                    status, reason = "skipped", compiled_demotion
+                elif requested == AUTO_BACKEND and name != STUDY_BACKEND:
+                    reason = auto_skip_reason(self._config, trials, probe)
+                    if reason is not None:
+                        status = "skipped"
+            if status is not None:
+                rungs.append(LadderRung(name, status, reason))
+            else:
+                rungs.append(
+                    runnable(name, kernel, "first eligible rung of the study ladder")
+                )
+        rungs.append(
+            runnable(
+                f"per-trial ({self._per_trial_backend()})",
+                None,
+                "no study kernel is eligible; each trial picks its own slot "
+                "kernel",
+            )
+        )
+        return rungs
+
     def explain_backend(self, trials: int) -> List[Dict[str, str]]:
         """Dry-run the study backend ladder: per rung, would it run and why.
 
-        Mirrors :meth:`_run_chunk`'s dispatch decisions without consuming
-        seeds or executing anything.  Each row carries ``backend``,
-        ``status`` (``selected`` / ``eligible`` / ``skipped`` /
-        ``ineligible``) and a human ``reason``; exactly one row is
-        ``selected``.  Run-time demotions (a kernel bailing mid-dispatch)
-        are inherently not predictable here — they surface on the executed
-        study's :class:`~repro.sim.health.RunHealth` instead.
+        The rows of :meth:`plan_ladder` — the same plan :meth:`_run_chunk`
+        executes — as ``backend`` / ``status`` / ``reason`` dicts; exactly
+        one row is ``selected``.  Run-time bails (a kernel returning no
+        results mid-dispatch) are inherently not predictable here — they
+        surface on the executed study's
+        :class:`~repro.sim.health.RunHealth` instead.
         """
-        from .backends.compiled import interpreter_mode
-
-        probe = StudyProbe(self._protocol_factory, self._adversary_factory)
-        rows: List[Dict[str, str]] = []
-        selected = False
-        for kernel, explicit in (
-            (BatchedStudyKernel(), STUDY_BACKEND),
-            (CompiledStudyKernel(), COMPILED_BACKEND),
-            (LockstepStudyKernel(), LOCKSTEP_BACKEND),
-        ):
-            if self._backend not in (AUTO_BACKEND, explicit):
-                rows.append(
-                    {
-                        "backend": explicit,
-                        "status": "skipped",
-                        "reason": f"backend={self._backend!r} requested",
-                    }
-                )
-                continue
-            if (
-                self._backend == AUTO_BACKEND
-                and explicit in (COMPILED_BACKEND, LOCKSTEP_BACKEND)
-                and not kernel.auto_preferred(
-                    self._adversary_factory, self._config, trials, probe
-                )
-            ):
-                rows.append(
-                    {
-                        "backend": explicit,
-                        "status": "skipped",
-                        "reason": "too little concurrent population for the "
-                        "lockstep tiers to amortize their per-slot cost",
-                    }
-                )
-                continue
-            reason = kernel.unsupported_reason(
-                self._protocol_factory,
-                self._adversary_factory,
-                self._config,
-                self._collectors,
-                probe,
-            )
-            if reason is not None:
-                rows.append(
-                    {
-                        "backend": explicit,
-                        "status": "ineligible",
-                        "reason": reason,
-                    }
-                )
-                continue
-            note = ""
-            if explicit == COMPILED_BACKEND:
-                mode = interpreter_mode()
-                note = (
-                    f" (interpreter mode: {mode}"
-                    + (
-                        "; will demote to the numpy lockstep kernel"
-                        if mode == "off"
-                        else ""
-                    )
-                    + ")"
-                )
-            rows.append(
-                {
-                    "backend": explicit,
-                    "status": "eligible" if selected else "selected",
-                    "reason": (
-                        "shadowed by a higher rung" if selected else "first "
-                        "eligible rung of the study ladder"
-                    )
-                    + note,
-                }
-            )
-            selected = True
-        rows.append(
-            {
-                "backend": f"per-trial ({self._per_trial_backend()})",
-                "status": "eligible" if selected else "selected",
-                "reason": "shadowed by a study kernel"
-                if selected
-                else "no study kernel is eligible; each trial picks its own "
-                "slot kernel",
-            }
-        )
-        return rows
+        return [rung.as_row() for rung in self.plan_ladder(trials)]
 
     def _run_parallel(
         self, seeds: List[SeedTree], workers: int, health: RunHealth

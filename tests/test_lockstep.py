@@ -20,7 +20,7 @@ from repro.protocols import (
     WindowedBinaryExponentialBackoff,
     make_factory,
 )
-from repro.protocols.base import grow_flat_column
+from repro.protocols.base import Protocol, grow_flat_column
 from repro.rng import NodeStreamPool, lockstep_streams_ok
 from repro.sim import SimulatorConfig, TrialRunner, run_trials
 from repro.sim.backends import LockstepStudyKernel
@@ -123,11 +123,30 @@ def batch_jam_factory():
     return ComposedAdversary(BatchArrivals(6), RandomFractionJamming(0.25))
 
 
+class _ProgramlessAloha(Protocol):
+    """ALOHA that opts out of both the vector contract and a lockstep program."""
+
+    name = "programless-aloha"
+
+    def __init__(self, probability: float = 0.2) -> None:
+        self._p = probability
+        self._rng = None
+
+    def on_arrival(self, slot, rng):
+        self._rng = rng
+
+    def wants_to_broadcast(self, slot):
+        return bool(self._rng.random() < self._p)
+
+    def on_feedback(self, slot, feedback, broadcast, success_was_own):
+        return None
+
+
 class TestEligibility:
     def test_program_less_protocol_rejected_explicitly(self):
         with pytest.raises(ConfigurationError, match="lockstep"):
             run_trials(
-                protocol_factory=make_factory(SlottedAloha, 0.2),
+                protocol_factory=make_factory(_ProgramlessAloha, 0.2),
                 adversary_factory=batch_jam_factory,
                 horizon=50,
                 trials=2,
@@ -159,12 +178,12 @@ class TestEligibility:
         assert WindowedBinaryExponentialBackoff().lockstep_program() is not None
         assert SawtoothBackoff().lockstep_program() is not None
         assert PolynomialBackoff().lockstep_program() is not None
-        assert SlottedAloha(0.2).lockstep_program() is None
+        assert _ProgramlessAloha(0.2).lockstep_program() is None
 
     def test_kernel_reports_reason(self):
         kernel = LockstepStudyKernel()
         reason = kernel.unsupported_reason(
-            make_factory(SlottedAloha, 0.2),
+            make_factory(_ProgramlessAloha, 0.2),
             batch_jam_factory,
             SimulatorConfig(horizon=10),
         )
